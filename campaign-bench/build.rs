@@ -1,0 +1,21 @@
+//! Records the compiler version for the benchmark's provenance block.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|v| v.trim().to_string())
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| "unknown".into());
+    println!("cargo:rustc-env=CAMPAIGN_BENCH_RUSTC={version}");
+    println!(
+        "cargo:rustc-env=CAMPAIGN_BENCH_OPT_LEVEL={}",
+        std::env::var("OPT_LEVEL").unwrap_or_default()
+    );
+    println!("cargo:rerun-if-changed=build.rs");
+}
